@@ -1,7 +1,7 @@
 // Benchmarks mirroring the paper's evaluation: one bench per table/figure
 // (wrapping internal/experiments, which persona-bench also uses) plus
 // microbenchmarks of the core kernels. Absolute numbers are machine-local;
-// EXPERIMENTS.md records paper-vs-measured shapes.
+// PERF.md records measured numbers with the host they ran on.
 package persona_test
 
 import (
@@ -9,6 +9,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -432,6 +434,63 @@ func BenchmarkKernel_SNAPAlignRead(b *testing.B) {
 	b.SetBytes(101)
 }
 
+// BenchmarkKernel_SNAPIndexBuild times a seed-index build and reports the
+// bytes the index holds on the heap (index-B), measured after a GC.
+func BenchmarkKernel_SNAPIndexBuild(b *testing.B) {
+	g := benchGenome(b, 400_000)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	idx, err := snap.BuildIndex(g, snap.IndexConfig{SeedLen: 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(idx)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := snap.BuildIndex(g, snap.IndexConfig{SeedLen: 16}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc), "index-B")
+}
+
+// BenchmarkKernel_SNAPLookup times one seed lookup (ns/op) over a mix of
+// two thirds genome seeds (hits) and one third random seeds (almost all
+// misses), on the 1 Mbp genome of the wgs workload (a 32 MiB slot table).
+func BenchmarkKernel_SNAPLookup(b *testing.B) {
+	const seedLen, probes = 16, 1 << 14
+	g := benchGenome(b, 1_000_000)
+	idx, err := snap.BuildIndex(g, snap.IndexConfig{SeedLen: seedLen})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	seeds := make([]byte, 0, probes*seedLen)
+	for i := 0; i < probes; i++ {
+		if i%3 == 2 {
+			for range seedLen {
+				seeds = append(seeds, "ACGT"[rng.Intn(4)])
+			}
+			continue
+		}
+		w, _ := g.Slice(rng.Int63n(g.Len()-seedLen), seedLen)
+		seeds = append(seeds, w...)
+	}
+	hits := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hits += len(idx.Lookup(seeds, i%probes*seedLen))
+	}
+	if hits == 0 && b.N >= probes {
+		b.Fatal("no lookup hit")
+	}
+}
+
 func BenchmarkKernel_BWAAlignRead(b *testing.B) {
 	g := benchGenome(b, 400_000)
 	idx, err := bwa.NewFMIndex(g)
@@ -602,7 +661,7 @@ func BenchmarkKernel_SAMLineWrite(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §6 design choices) ---
+// --- Ablations (§6 design choices; ROADMAP.md item 2 keeps them) ---
 
 func BenchmarkAblation_ChunkSize(b *testing.B) {
 	sc := benchScale()

@@ -4,7 +4,12 @@ package align
 // bounded edit-distance computation — the "short but frequent calls to a
 // local alignment edit distance function" that make it core-bound (§6). The
 // hot path uses the Landau-Vishkin diagonal algorithm (distance only); the
-// winning candidate is re-aligned with a banded DP to recover the CIGAR.
+// winning candidate is re-aligned with a banded DP to recover the CIGAR. The
+// band is the candidate's verified distance d, not the aligner's MaxDist: a
+// cell holding v lies within v diagonals of the main one, so the d band
+// computes every cell of value ≤ d exactly and returns what the MaxDist band
+// would. The MaxDist band stays as the fallback if the narrow one finds no
+// alignment.
 
 // EditDistance computes the unbounded Levenshtein distance between query
 // and ref with full dynamic programming. O(len(query)·len(ref)); used as
@@ -191,6 +196,15 @@ func (s *BandedScratch) BoundedAlign(query, ref []byte, maxK int) (dist int, cig
 	if maxK < 0 {
 		return -1, nil, 0
 	}
+	if maxK == 0 {
+		// A zero band is the main diagonal alone: only an exact match of a
+		// ref prefix aligns.
+		if len(ref) < m || string(query) != string(ref[:m]) {
+			return -1, nil, 0
+		}
+		s.out = append(s.out[:0], CigarElem{Len: m, Op: CigarMatch})
+		return 0, s.out, m
+	}
 	w := 2*maxK + 1
 	const inf = 1 << 29
 	// dp[i*w + (j-i+maxK)] = distance aligning query[:i] with ref[:j].
@@ -209,38 +223,39 @@ func (s *BandedScratch) BoundedAlign(query, ref []byte, maxK int) (dist int, cig
 		}
 		return dp[i*w+d]
 	}
-	set := func(i, j int, v int32) {
-		dp[i*w+(j-i+maxK)] = v
-	}
 	for j := 0; j <= maxK && j <= len(ref); j++ {
-		set(0, j, int32(j)) // leading deletions
+		dp[j+maxK] = int32(j) // leading deletions
 	}
+	// The fill indexes rows directly: within row i, diagonal d = j-i+maxK,
+	// so (i-1, j-1) is prev[d], (i-1, j) is prev[d+1] and (i, j-1) is
+	// row[d-1]. Cells outside the ref or the band stay inf.
 	for i := 1; i <= m; i++ {
-		lo, hi := i-maxK, i+maxK
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > len(ref) {
-			hi = len(ref)
-		}
+		prev, row := dp[(i-1)*w:i*w], dp[i*w:(i+1)*w]
+		lo, hi := max(i-maxK, 0), min(i+maxK, len(ref))
+		qb := query[i-1]
 		for j := lo; j <= hi; j++ {
+			d := j - i + maxK
 			best := int32(inf)
 			if j > 0 {
 				cost := int32(1)
-				if query[i-1] == ref[j-1] {
+				if qb == ref[j-1] {
 					cost = 0
 				}
-				if v := at(i-1, j-1) + cost; v < best {
+				if v := prev[d] + cost; v < best {
 					best = v
 				}
-				if v := at(i, j-1) + 1; v < best { // deletion (ref consumed)
+				if d > 0 {
+					if v := row[d-1] + 1; v < best { // deletion (ref consumed)
+						best = v
+					}
+				}
+			}
+			if d+1 < w {
+				if v := prev[d+1] + 1; v < best { // insertion (query consumed)
 					best = v
 				}
 			}
-			if v := at(i-1, j) + 1; v < best { // insertion (query consumed)
-				best = v
-			}
-			set(i, j, best)
+			row[d] = best
 		}
 	}
 	// Answer: best dp[m][j] over the band; trailing ref is free.

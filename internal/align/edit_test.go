@@ -235,3 +235,45 @@ func mutateSeq(rng *rand.Rand, s []byte, edits int) []byte {
 	}
 	return out
 }
+
+// FuzzBoundedAlignBand checks the band the SNAP aligner re-aligns its winner
+// with: when Landau-Vishkin finds distance d ≤ K, BoundedAlign banded at d
+// must return exactly what the K band returns — distance, CIGAR and
+// reference span — and that distance must be d. Input bytes map onto ACGT
+// (dnaOf) so matches, and hence alignments within the band, are common.
+func FuzzBoundedAlignBand(f *testing.F) {
+	f.Add([]byte("ACGTACGTTGCA"), []byte("ACGTACCTTGCAGG"), uint8(4))
+	f.Add([]byte("AAAAAAAAAA"), []byte("AAAAAAAAAAAA"), uint8(12))
+	f.Add([]byte("ACGTTTACGT"), []byte("ACGTACGT"), uint8(3))
+	f.Fuzz(func(t *testing.T, rawQuery, rawRef []byte, rawK uint8) {
+		const maxLen = 160
+		query := dnaOf(rawQuery, maxLen)
+		ref := dnaOf(rawRef, maxLen+32)
+		k := int(rawK % 33)
+		d := LandauVishkin(query, ref, k)
+		if d < 0 {
+			return
+		}
+		wideDist, wideCigar, wideUsed := BoundedAlign(query, ref, k)
+		dist, cigar, used := BoundedAlign(query, ref, d)
+		if dist != wideDist || cigar.String() != wideCigar.String() || used != wideUsed {
+			t.Fatalf("band %d: (%d, %s, %d); band %d: (%d, %s, %d)",
+				d, dist, cigar, used, k, wideDist, wideCigar, wideUsed)
+		}
+		if dist != d {
+			t.Fatalf("BoundedAlign distance %d, Landau-Vishkin %d (q=%s ref=%s k=%d)", dist, d, query, ref, k)
+		}
+	})
+}
+
+// dnaOf maps up to n bytes of raw onto ACGT: base letters stay, any other
+// byte becomes the base its low two bits pick.
+func dnaOf(raw []byte, n int) []byte {
+	s := make([]byte, min(len(raw), n))
+	for i := range s {
+		if s[i] = raw[i]; genome.Code(s[i]) > 3 {
+			s[i] = "ACGT"[raw[i]&3]
+		}
+	}
+	return s
+}

@@ -275,13 +275,20 @@ func (a *Aligner) window(pos int64, n int) []byte {
 
 // finish re-aligns the winning candidate to recover the CIGAR and builds the
 // result record.
+//
+// The CIGAR band is the candidate's verified distance best, with the MaxDist
+// band as the fallback should the narrow one find nothing; the header of
+// internal/align/edit.go shows why both bands return the same alignment.
 func (a *Aligner) finish(bases []byte, c candidate, best, second, bestCount int) agd.Result {
 	query := bases
 	if c.rc {
 		query = a.reverseComplement(bases)
 	}
 	window := a.window(c.pos, len(query)+a.cfg.MaxDist)
-	dist, cigar, _ := a.banded.BoundedAlign(query, window, a.cfg.MaxDist)
+	dist, cigar, _ := a.banded.BoundedAlign(query, window, best)
+	if dist < 0 {
+		dist, cigar, _ = a.banded.BoundedAlign(query, window, a.cfg.MaxDist)
+	}
 	if dist < 0 {
 		// The LV verification succeeded, so this cannot happen with a
 		// consistent implementation; treat defensively as unmapped.

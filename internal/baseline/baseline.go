@@ -7,8 +7,8 @@
 // These exist so the evaluation harness can measure Persona against the
 // same algorithmic structure the original tools have: whole-row parsing,
 // monolithic row-oriented files, and (for Picard) single-threaded
-// per-record object churn. See DESIGN.md §3 on why reimplementation
-// preserves the comparison's shape.
+// per-record object churn. Keeping that structure is what preserves the
+// comparison's shape; PERF.md records the measured ratios.
 package baseline
 
 import (

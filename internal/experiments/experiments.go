@@ -4,15 +4,17 @@
 // internal/perfmodel) and, where the experiment is measurable on a small
 // machine, real measurements over synthetic workloads. The persona-bench
 // command and the repository's testing.B benchmarks are thin wrappers
-// around this package; EXPERIMENTS.md records representative output.
+// around this package; PERF.md records measured output.
 package experiments
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
+	"time"
 
 	"persona/internal/agd"
 	"persona/internal/align/snap"
@@ -108,6 +110,36 @@ func importFASTQ(ctx context.Context, store agd.BlobStore, name, text string, re
 // exportBAM wraps bam.Export for the conversion experiment.
 func exportBAM(ctx context.Context, ds *agd.Dataset, w io.Writer) (uint64, error) {
 	return bam.Export(ctx, ds, w)
+}
+
+// timedTrials is how many interleaved trials medianSeconds times after its
+// warm-up round.
+const timedTrials = 5
+
+// medianSeconds times fns against each other: one warm-up round, then
+// timedTrials rounds that run every fn in turn, returning each fn's median
+// wall time in seconds. Interleaving spreads host drift over all of them,
+// and the warm-up keeps first-run costs (page faults, lazy initialisation)
+// out of the comparison.
+func medianSeconds(fns ...func() error) ([]float64, error) {
+	times := make([][]float64, len(fns))
+	for round := 0; round <= timedTrials; round++ {
+		for i, fn := range fns {
+			start := time.Now()
+			if err := fn(); err != nil {
+				return nil, err
+			}
+			if round > 0 {
+				times[i] = append(times[i], time.Since(start).Seconds())
+			}
+		}
+	}
+	medians := make([]float64, len(fns))
+	for i, ts := range times {
+		slices.Sort(ts)
+		medians[i] = ts[len(ts)/2]
+	}
+	return medians, nil
 }
 
 // section prints a header for an experiment section.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"persona/internal/agd"
 	"persona/internal/align/bwa"
@@ -228,7 +227,9 @@ type ConversionResult struct {
 	BAMExportMBps float64
 }
 
-// RunConversion measures FASTQ→AGD import and AGD→BAM export throughput.
+// RunConversion measures FASTQ→AGD import and AGD→BAM export throughput,
+// each from the median of interleaved trials after a warm-up
+// (medianSeconds); every import trial writes a fresh store.
 func RunConversion(ctx context.Context, w io.Writer, sc Scale) (*ConversionResult, error) {
 	g, rs, err := sc.simulatedReads()
 	if err != nil {
@@ -239,33 +240,35 @@ func RunConversion(ctx context.Context, w io.Writer, sc Scale) (*ConversionResul
 		return nil, err
 	}
 
-	store := agd.NewMemStore()
-	start := time.Now()
-	if _, _, err := importFASTQ(ctx, store, "conv", fq, agd.RefSeqsFromGenome(g), sc.ChunkSize); err != nil {
-		return nil, err
-	}
-	importSecs := time.Since(start).Seconds()
-
 	// Export needs an aligned dataset.
-	store2 := agd.NewMemStore()
-	f, err := sc.fixture(store2, "ds", true)
+	f, err := sc.fixture(agd.NewMemStore(), "ds", true)
 	if err != nil {
 		return nil, err
 	}
+	refs := agd.RefSeqsFromGenome(g)
 	cw := &discardCounter{}
-	start = time.Now()
-	if _, err := exportBAM(ctx, f.Dataset, cw); err != nil {
+	secs, err := medianSeconds(
+		func() error {
+			_, _, err := importFASTQ(ctx, agd.NewMemStore(), "conv", fq, refs, sc.ChunkSize)
+			return err
+		},
+		func() error {
+			cw.n = 0
+			_, err := exportBAM(ctx, f.Dataset, cw)
+			return err
+		},
+	)
+	if err != nil {
 		return nil, err
 	}
-	exportSecs := time.Since(start).Seconds()
 
 	res := &ConversionResult{
 		Scale:         sc,
-		ImportMBps:    float64(len(fq)) / 1e6 / importSecs,
-		BAMExportMBps: float64(cw.n) / 1e6 / exportSecs,
+		ImportMBps:    float64(len(fq)) / 1e6 / secs[0],
+		BAMExportMBps: float64(cw.n) / 1e6 / secs[1],
 	}
 	section(w, "Conversion throughput (measured, §5.7)")
-	fmt.Fprintf(w, "workload: %s\n", sc)
+	fmt.Fprintf(w, "workload: %s; median of %d interleaved trials\n", sc, timedTrials)
 	fmt.Fprintf(w, "FASTQ import: %8.1f MB/s   (paper: 360 MB/s on 48 cores)\n", res.ImportMBps)
 	fmt.Fprintf(w, "BAM export:   %8.1f MB/s   (paper: 82 MB/s; import should stay faster than export)\n", res.BAMExportMBps)
 	return res, nil

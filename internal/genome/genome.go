@@ -6,7 +6,8 @@
 // tests use synthetic genomes drawn from a seeded PRNG with hg19-like
 // properties (multiple contigs, ~41% GC, occasional N runs and repeated
 // segments so aligners see both unique and ambiguous seeds). All code paths
-// are sequence-agnostic; see DESIGN.md §3 for the substitution argument.
+// are sequence-agnostic, so the substitution changes a run's scale, not its
+// code path; PERF.md states the genome size behind each measurement.
 package genome
 
 import (
@@ -29,20 +30,7 @@ const (
 
 // Code converts a base letter to its 3-bit code (0..4). Lower-case letters
 // are accepted. Unknown letters map to N's code.
-func Code(b byte) uint8 {
-	switch b {
-	case 'A', 'a':
-		return 0
-	case 'C', 'c':
-		return 1
-	case 'G', 'g':
-		return 2
-	case 'T', 't':
-		return 3
-	default:
-		return 4
-	}
-}
+func Code(b byte) uint8 { return codeTab[b] }
 
 // Letter converts a 3-bit code back to its base letter.
 func Letter(code uint8) byte {
@@ -62,20 +50,21 @@ func Letter(code uint8) byte {
 
 // Complement returns the Watson-Crick complement of a base letter; N maps to
 // N.
-func Complement(b byte) byte {
-	switch b {
-	case 'A', 'a':
-		return BaseT
-	case 'C', 'c':
-		return BaseG
-	case 'G', 'g':
-		return BaseC
-	case 'T', 't':
-		return BaseA
-	default:
-		return BaseN
+func Complement(b byte) byte { return complementTab[b] }
+
+// codeTab and complementTab back Code and Complement: a table lookup costs
+// the per-base loops (seeding, strand flips) no unpredictable branch.
+var codeTab, complementTab = func() (code, comp [256]byte) {
+	for b := range code {
+		code[b], comp[b] = 4, BaseN
 	}
-}
+	for i, pair := range [...]string{"AT", "CG", "GC", "TA"} {
+		for _, b := range []byte{pair[0], pair[0] + 'a' - 'A'} {
+			code[b], comp[b] = byte(i), pair[1]
+		}
+	}
+	return code, comp
+}()
 
 // ReverseComplement writes the reverse complement of src into dst, which
 // must have len(src) capacity available; it returns dst resliced.

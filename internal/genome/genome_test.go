@@ -26,6 +26,26 @@ func TestComplement(t *testing.T) {
 	}
 }
 
+func TestCodeComplementAllBytes(t *testing.T) {
+	for i := 0; i < 256; i++ {
+		b := byte(i)
+		code, comp := uint8(4), byte('N')
+		switch b {
+		case 'A', 'a':
+			code, comp = 0, 'T'
+		case 'C', 'c':
+			code, comp = 1, 'G'
+		case 'G', 'g':
+			code, comp = 2, 'C'
+		case 'T', 't':
+			code, comp = 3, 'A'
+		}
+		if Code(b) != code || Complement(b) != comp {
+			t.Errorf("byte %d: Code %d Complement %q, want %d %q", i, Code(b), Complement(b), code, comp)
+		}
+	}
+}
+
 func TestReverseComplementInvolution(t *testing.T) {
 	f := func(raw []byte) bool {
 		// Map arbitrary bytes into base space first.

@@ -2,17 +2,18 @@
 // microarchitectural breakdown of the two aligners compared against SPEC
 // reference points.
 //
-// Substitution note (DESIGN.md §3): the paper uses Intel VTune on real
-// Xeons. Hardware PMU access is unavailable here, so the breakdown is
-// computed from the aligners' instrumented operation mixes: the SNAP
-// aligner reports Landau-Vishkin cell work (short dependent ALU chains and
-// branches — core pressure) and bytes compared (mostly streaming); the BWA
-// aligner reports FM-index rank probes (cache/DTLB-hostile random reads —
-// memory pressure) and Smith-Waterman cell work. A fixed cost model maps
-// these mixes onto the top-down categories. The calibration targets the
-// paper's qualitative findings: both aligners are heavily backend bound;
-// SNAP's stalls come from the core, BWA's from memory (§6), and
-// hyperthreading shifts both toward memory by doubling cache pressure.
+// Substitution note (a model, so a prediction; see ROADMAP.md): the paper
+// uses Intel VTune on real Xeons. Hardware PMU access is unavailable here,
+// so the breakdown is computed from the aligners' instrumented operation
+// mixes: the SNAP aligner reports Landau-Vishkin cell work (short dependent
+// ALU chains and branches — core pressure) and bytes compared (mostly
+// streaming); the BWA aligner reports FM-index rank probes
+// (cache/DTLB-hostile random reads — memory pressure) and Smith-Waterman
+// cell work. A fixed cost model maps these mixes onto the top-down
+// categories. The calibration targets the paper's qualitative findings: both
+// aligners are heavily backend bound; SNAP's stalls come from the core,
+// BWA's from memory (§6), and hyperthreading shifts both toward memory by
+// doubling cache pressure.
 package perfmodel
 
 import "fmt"

@@ -10,7 +10,8 @@
 // plus a discrete-event/fluid model of disks, buffer cache, NICs and the
 // Ceph cluster. Functional distributed behaviour (real chunk fan-out,
 // real TCP manifest server) lives in internal/cluster; absolute paper-scale
-// numbers come from here. See DESIGN.md §3.
+// numbers come from here. They are predictions: ROADMAP.md requires them to
+// be reported beside measurements, never in their place.
 package simulate
 
 // PaperParams holds the calibrated paper-scale constants (§5.1–§5.2 and
@@ -49,7 +50,8 @@ type PaperParams struct {
 	StartupSeconds float64
 }
 
-// DefaultPaperParams returns the calibration used throughout EXPERIMENTS.md.
+// DefaultPaperParams returns the calibration behind every modeled experiment
+// and the DES predictions in PERF.md.
 func DefaultPaperParams() PaperParams {
 	return PaperParams{
 		ReadLen:    101,
