@@ -21,6 +21,7 @@ import (
 	"persona/internal/align"
 	"persona/internal/align/bwa"
 	"persona/internal/align/snap"
+	"persona/internal/dataflow"
 	"persona/internal/experiments"
 	"persona/internal/formats/bam"
 	"persona/internal/formats/fastq"
@@ -658,6 +659,45 @@ func BenchmarkKernel_SAMLineWrite(b *testing.B) {
 		if err := w.WriteView(name, seq, qual, &v, refmap); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkKernel_BAMExport is the BAM sink over one aligned dataset: record
+// rendering plus BGZF deflate, with blocks compressed inline on the sink
+// goroutine and as tasks on a GOMAXPROCS-worker executor (the pipeline's
+// ExportBAM). MB/s is of BAM output.
+func BenchmarkKernel_BAMExport(b *testing.B) {
+	f, err := testutil.BuildE(agd.NewMemStore(), "ds", testutil.Config{NumReads: 5000, ChunkSize: 500, DupFrac: 0.15, Seed: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	export := func(dst io.Writer, exec *dataflow.Executor) {
+		in, err := sam.ExportGroups(f.Dataset)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer in.Close()
+		if _, err := bam.ExportStream(context.Background(), in, dst, exec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	n := runtime.GOMAXPROCS(0)
+	exec := dataflow.NewExecutor(n, 2*n)
+	defer exec.Close()
+	for _, c := range []struct {
+		name string
+		exec *dataflow.Executor
+	}{{"inline", nil}, {"executor", exec}} {
+		b.Run(c.name, func(b *testing.B) {
+			cw := &countWriter{}
+			export(cw, c.exec)
+			b.SetBytes(cw.n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				export(io.Discard, c.exec)
+			}
+		})
 	}
 }
 

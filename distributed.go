@@ -202,7 +202,7 @@ func (p *Pipeline) exportDistributed(ctx context.Context, m *agd.Manifest, sink 
 	case stageExportSAM:
 		return sam.ExportStream(ctx, gs, sink.dst)
 	case stageExportBAM:
-		return bam.ExportStream(ctx, gs, sink.dst)
+		return bam.ExportStream(ctx, gs, sink.dst, sess.exec)
 	case stageExportFASTQ:
 		return fastq.ExportStream(ctx, gs, sink.dst)
 	}

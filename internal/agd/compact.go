@@ -3,6 +3,7 @@ package agd
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"persona/internal/genome"
 )
@@ -44,24 +45,25 @@ func ExpandBases(dst, src []byte) ([]byte, int, error) {
 	if n <= 0 {
 		return dst, 0, fmt.Errorf("%w: bad base count varint", ErrCorrupt)
 	}
+	// Each word holds at most basesPerWord bases, so a count beyond that
+	// bound is corrupt (and would overflow the size arithmetic below).
+	if count > uint64(len(src))*basesPerWord {
+		return dst, 0, fmt.Errorf("%w: base count %d exceeds record size", ErrCorrupt, count)
+	}
 	words := (int(count) + basesPerWord - 1) / basesPerWord
 	need := n + words*8
 	if len(src) < need {
 		return dst, 0, fmt.Errorf("%w: compacted record truncated (need %d bytes, have %d)", ErrCorrupt, need, len(src))
 	}
-	remaining := int(count)
-	off := n
-	for w := 0; w < words; w++ {
+	start := len(dst)
+	dst = slices.Grow(dst, int(count))[:start+int(count)]
+	out := dst[start:]
+	for w, off := 0, n; w < words; w, off = w+1, off+8 {
 		word := binary.LittleEndian.Uint64(src[off : off+8])
-		off += 8
-		inWord := basesPerWord
-		if remaining < inWord {
-			inWord = remaining
+		chunk := out[w*basesPerWord : min(len(out), (w+1)*basesPerWord)]
+		for j := range chunk {
+			chunk[j] = genome.Letter(uint8(word >> (3 * uint(j)) & 0x7))
 		}
-		for j := 0; j < inWord; j++ {
-			dst = append(dst, genome.Letter(uint8(word>>(3*uint(j))&0x7)))
-		}
-		remaining -= inWord
 	}
 	return dst, need, nil
 }

@@ -2,10 +2,12 @@ package baseline
 
 import (
 	"compress/gzip"
+	"context"
 	"io"
 	"runtime"
 
 	"persona/internal/agd"
+	"persona/internal/dataflow"
 	"persona/internal/formats/bam"
 	"persona/internal/formats/sam"
 )
@@ -31,7 +33,11 @@ func SamtoolsSortBAM(in io.Reader, out io.Writer) (int, error) {
 		return 0, errRecordf("samtools-sort", err)
 	}
 	coordinateSort(recs)
-	w, err := bam.NewWriterParallel(out, refs, "coordinate", runtime.NumCPU())
+	// samtools --threads: BGZF blocks compress on a local executor.
+	n := runtime.NumCPU()
+	exec := dataflow.NewExecutor(n, 2*n)
+	defer exec.Close()
+	w, err := bam.NewWriterExec(context.Background(), out, refs, "coordinate", exec)
 	if err != nil {
 		return 0, errRecordf("samtools-sort", err)
 	}

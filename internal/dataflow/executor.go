@@ -21,11 +21,13 @@ type ShardTask func(shard int)
 // taskItem is one queued unit: exactly one of fn/sfn is set. done, when
 // non-nil, is counted down after the task runs — carrying the latch in the
 // item (instead of a wrapper closure) keeps SubmitWait's per-task cost to
-// the task closure itself.
+// the task closure itself. notify, when non-nil, receives one token once
+// the task has run and been counted (SubmitNotify).
 type taskItem struct {
-	fn   Task
-	sfn  ShardTask
-	done *Completion
+	fn     Task
+	sfn    ShardTask
+	done   *Completion
+	notify chan<- struct{}
 }
 
 // Executor owns a fixed set of worker goroutines, one per shard, each with a
@@ -294,6 +296,9 @@ func (e *Executor) run(s *shard, t taskItem) {
 	}
 	s.busyNanos.Add(e.clock() - start)
 	s.completed.Add(1)
+	if t.notify != nil {
+		t.notify <- struct{}{}
+	}
 }
 
 // Workers returns the number of worker goroutines.
@@ -377,6 +382,15 @@ func (e *Executor) SubmitTo(ctx context.Context, shard int, t Task) error {
 // ran them (e.g. to recycle pooled buffers into that shard's free list).
 func (e *Executor) SubmitSharded(ctx context.Context, shard int, t ShardTask) error {
 	return e.submitItem(ctx, shard, taskItem{sfn: t})
+}
+
+// SubmitNotify is Submit for a caller that waits on its own tasks: done
+// receives one token after t has run and been counted in Stats. done must
+// have buffer room for the token, so a worker never blocks on it; a caller
+// that owns one buffered channel per in-flight task submits without
+// allocating.
+func (e *Executor) SubmitNotify(ctx context.Context, t Task, done chan<- struct{}) error {
+	return e.submitItem(ctx, -1, taskItem{fn: t, notify: done})
 }
 
 // SubmitWait splits work into n tasks produced by gen and blocks until all

@@ -95,6 +95,24 @@ func TestExecutorSubmitWait(t *testing.T) {
 	}
 }
 
+func TestExecutorSubmitNotifyCountsBeforeSignal(t *testing.T) {
+	e := NewExecutor(2, 4)
+	defer e.Close()
+	done := make(chan struct{}, 1)
+	ran := 0
+	for i := 1; i <= 50; i++ {
+		if err := e.SubmitNotify(context.Background(), func() { ran++ }, done); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		// The token arrives only after the task is counted, so a caller
+		// that has its token sees its task in Stats.
+		if submitted, completed, _ := e.Stats(); ran != i || submitted != completed {
+			t.Fatalf("after token %d: ran %d, submitted %d, completed %d", i, ran, submitted, completed)
+		}
+	}
+}
+
 func TestExecutorSubmitWaitZero(t *testing.T) {
 	e := NewExecutor(1, 1)
 	defer e.Close()

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"persona/internal/agd"
 	"persona/internal/agdsort"
@@ -28,7 +27,8 @@ type Table2Result struct {
 
 // RunTable2 measures full-dataset sorting: Persona's AGD external merge
 // sort versus the samtools-style BAM sort (with and without the SAM→BAM
-// conversion) and the Picard-style single-threaded sort.
+// conversion) and the Picard-style single-threaded sort. Each time is the
+// median of interleaved trials after a warm-up.
 func RunTable2(ctx context.Context, w io.Writer, sc Scale) (*Table2Result, error) {
 	store := agd.NewMemStore()
 	f, err := sc.fixture(store, "ds", true)
@@ -47,44 +47,48 @@ func RunTable2(ctx context.Context, w io.Writer, sc Scale) (*Table2Result, error
 		return nil, err
 	}
 
-	res := &Table2Result{Scale: sc}
-
-	start := time.Now()
-	if _, err := agdsort.SortDataset(ctx, f.Dataset, agdsort.Options{By: agdsort.ByLocation, OutputName: "sorted"}); err != nil {
+	// Every arm sorts the same input again (the Persona arm overwrites its
+	// output dataset), so its trials repeat.
+	secs, err := medianSeconds(
+		func() error {
+			_, err := agdsort.SortDataset(ctx, f.Dataset, agdsort.Options{By: agdsort.ByLocation, OutputName: "sorted"})
+			return err
+		},
+		func() error {
+			var sortedBAM bytes.Buffer
+			_, err := baseline.SamtoolsSortBAM(bytes.NewReader(bamBlob.Bytes()), &sortedBAM)
+			return err
+		},
+		func() error {
+			var convBAM, sortedBAM bytes.Buffer
+			if _, err := baseline.ConvertSAMToBAM(bytes.NewReader(samText.Bytes()), &convBAM, refs); err != nil {
+				return err
+			}
+			_, err := baseline.SamtoolsSortBAM(bytes.NewReader(convBAM.Bytes()), &sortedBAM)
+			return err
+		},
+		func() error {
+			var sortedSAM bytes.Buffer
+			_, err := baseline.PicardSortSAM(bytes.NewReader(samText.Bytes()), &sortedSAM, refs)
+			return err
+		},
+	)
+	if err != nil {
 		return nil, err
 	}
-	res.PersonaSeconds = time.Since(start).Seconds()
-
-	start = time.Now()
-	var sortedBAM bytes.Buffer
-	if _, err := baseline.SamtoolsSortBAM(bytes.NewReader(bamBlob.Bytes()), &sortedBAM); err != nil {
-		return nil, err
+	res := &Table2Result{
+		Scale:               sc,
+		PersonaSeconds:      secs[0],
+		SamtoolsSeconds:     secs[1],
+		SamtoolsConvSeconds: secs[2],
+		PicardSeconds:       secs[3],
 	}
-	res.SamtoolsSeconds = time.Since(start).Seconds()
-
-	start = time.Now()
-	var convBAM, sortedBAM2 bytes.Buffer
-	if _, err := baseline.ConvertSAMToBAM(bytes.NewReader(samText.Bytes()), &convBAM, refs); err != nil {
-		return nil, err
-	}
-	if _, err := baseline.SamtoolsSortBAM(bytes.NewReader(convBAM.Bytes()), &sortedBAM2); err != nil {
-		return nil, err
-	}
-	res.SamtoolsConvSeconds = time.Since(start).Seconds()
-
-	start = time.Now()
-	var sortedSAM bytes.Buffer
-	if _, err := baseline.PicardSortSAM(bytes.NewReader(samText.Bytes()), &sortedSAM, refs); err != nil {
-		return nil, err
-	}
-	res.PicardSeconds = time.Since(start).Seconds()
-
 	res.SamtoolsSlowdown = res.SamtoolsSeconds / res.PersonaSeconds
 	res.SamtoolsConvSlowdown = res.SamtoolsConvSeconds / res.PersonaSeconds
 	res.PicardSlowdown = res.PicardSeconds / res.PersonaSeconds
 
 	section(w, "Table 2 (measured): dataset sort time")
-	fmt.Fprintf(w, "workload: %s\n", sc)
+	fmt.Fprintf(w, "workload: %s; median of %d interleaved trials\n", sc, timedTrials)
 	fmt.Fprintf(w, "%-26s %10s %10s   paper\n", "Tool", "time (s)", "vs Persona")
 	fmt.Fprintf(w, "%-26s %10.3f %10.2f   1.0x\n", "Persona (AGD merge sort)", res.PersonaSeconds, 1.0)
 	fmt.Fprintf(w, "%-26s %10.3f %10.2f   1.54x\n", "Samtools-style (BAM)", res.SamtoolsSeconds, res.SamtoolsSlowdown)

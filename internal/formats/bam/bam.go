@@ -6,34 +6,33 @@ package bam
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"persona/internal/agd"
 	"persona/internal/align"
+	"persona/internal/dataflow"
 	"persona/internal/formats/bgzf"
 	"persona/internal/formats/sam"
 )
 
 var bamMagic = []byte{'B', 'A', 'M', 1}
 
-// seqNibble encodes a base letter into BAM's 4-bit code.
-func seqNibble(b byte) byte {
-	switch b {
-	case 'A', 'a':
-		return 1
-	case 'C', 'c':
-		return 2
-	case 'G', 'g':
-		return 4
-	case 'T', 't':
-		return 8
-	default:
-		return 15 // N
+// seqNibbleTab maps a base letter to BAM's 4-bit code: A/C/G/T (either
+// case) to 1/2/4/8, anything else to 15 (N).
+var seqNibbleTab = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 15
 	}
-}
+	for i, b := range []byte("ACGT") {
+		t[b], t[b|0x20] = 1<<i, 1<<i
+	}
+	return t
+}()
 
 // nibbleSeq decodes a 4-bit code back to a base letter.
 func nibbleSeq(n byte) byte {
@@ -51,31 +50,24 @@ func nibbleSeq(n byte) byte {
 	}
 }
 
-// blockWriter is the compressed-stream sink: the serial bgzf.Writer or the
-// multi-worker bgzf.ParallelWriter (samtools-style --threads compression).
-type blockWriter interface {
-	io.Writer
-	Close() error
-}
-
 // Writer emits a BAM file.
 type Writer struct {
-	z     blockWriter
+	z     *bgzf.Writer
 	refs  map[string]int32
-	buf   bytes.Buffer
+	rec   []byte      // reused record render buffer, length prefix included
 	cigar align.Cigar // reused parse scratch (WriteView)
 }
 
 // NewWriter writes the BAM header (text header plus reference dictionary)
-// and returns a record writer with serial BGZF compression.
+// and returns a record writer with inline BGZF compression.
 func NewWriter(w io.Writer, refs []agd.RefSeq, sortOrder string) (*Writer, error) {
 	return newWriter(bgzf.NewWriter(w), refs, sortOrder)
 }
 
-// NewWriterParallel is NewWriter with BGZF blocks compressed on workers
-// goroutines.
-func NewWriterParallel(w io.Writer, refs []agd.RefSeq, sortOrder string, workers int) (*Writer, error) {
-	return newWriter(bgzf.NewParallelWriter(w, workers), refs, sortOrder)
+// NewWriterExec is NewWriter with full BGZF blocks compressed as tasks on
+// exec (nil compresses inline); see bgzf.NewWriterExec.
+func NewWriterExec(ctx context.Context, w io.Writer, refs []agd.RefSeq, sortOrder string, exec *dataflow.Executor) (*Writer, error) {
+	return newWriter(bgzf.NewWriterExec(ctx, w, gzip.BestSpeed, exec), refs, sortOrder)
 }
 
 // NewWriterLevel is NewWriter with an explicit BGZF compression level.
@@ -83,7 +75,7 @@ func NewWriterLevel(w io.Writer, refs []agd.RefSeq, sortOrder string, level int)
 	return newWriter(bgzf.NewWriterLevel(w, level), refs, sortOrder)
 }
 
-func newWriter(z blockWriter, refs []agd.RefSeq, sortOrder string) (*Writer, error) {
+func newWriter(z *bgzf.Writer, refs []agd.RefSeq, sortOrder string) (*Writer, error) {
 	bw := &Writer{z: z, refs: make(map[string]int32, len(refs))}
 	if sortOrder == "" {
 		sortOrder = "unsorted"
@@ -149,42 +141,8 @@ func (w *Writer) Write(r *sam.Record) error {
 	if err != nil {
 		return err
 	}
-
-	w.buf.Reset()
-	le := binary.LittleEndian
-	var n4 [4]byte
-	put32 := func(v uint32) { le.PutUint32(n4[:], v); w.buf.Write(n4[:]) }
-
-	put32(uint32(refID))
-	put32(uint32(int32(r.Pos - 1)))
-	// l_read_name | mapq<<8 | bin<<16 (bin left 0: indexing unused here)
-	put32(uint32(len(r.Name)+1) | uint32(r.MapQ)<<8)
-	put32(uint32(len(cigar)) | uint32(r.Flags)<<16)
-	put32(uint32(len(r.Seq)))
-	put32(uint32(nextRefID))
-	put32(uint32(int32(r.PNext - 1)))
-	put32(uint32(r.TLen))
-	w.buf.WriteString(r.Name)
-	w.buf.WriteByte(0)
-	for _, e := range cigar {
-		put32(uint32(e.Len)<<4 | uint32(e.Op.BAMCode()))
-	}
-	for i := 0; i < len(r.Seq); i += 2 {
-		b := seqNibble(r.Seq[i]) << 4
-		if i+1 < len(r.Seq) {
-			b |= seqNibble(r.Seq[i+1])
-		}
-		w.buf.WriteByte(b)
-	}
-	for i := 0; i < len(r.Qual); i++ {
-		w.buf.WriteByte(r.Qual[i] - '!')
-	}
-
-	le.PutUint32(n4[:], uint32(w.buf.Len()))
-	if _, err := w.z.Write(n4[:]); err != nil {
-		return err
-	}
-	_, err = w.z.Write(w.buf.Bytes())
+	w.rec = appendRecord(w.rec[:0], refID, r.Pos-1, nextRefID, r.PNext-1, r.MapQ, r.Flags, r.TLen, r.Name, cigar, r.Seq, r.Qual)
+	_, err = w.z.Write(w.rec)
 	return err
 }
 
@@ -219,98 +177,78 @@ func (w *Writer) WriteView(name, seq, qual []byte, v *agd.ResultView, refmap *sa
 		}
 		pnext = p
 	}
-	w.writeRecord(refID, pos, nextRefID, pnext, v.MapQ, v.Flags, v.TemplateLen, name, cigar, seq, qual)
-	return w.flushRecord()
-}
-
-// put32 appends one little-endian uint32 to the record buffer. A method
-// (not a closure) so the hot writeRecord loop does not allocate a capture.
-func (w *Writer) put32(v uint32) {
-	var n4 [4]byte
-	binary.LittleEndian.PutUint32(n4[:], v)
-	w.buf.Write(n4[:])
-}
-
-// writeRecord renders one record into the reused buffer.
-func (w *Writer) writeRecord(refID int32, pos int64, nextRefID int32, pnext int64, mapq uint8, flags uint16, tlen int32, name []byte, cigar align.Cigar, seq, qual []byte) {
-	w.buf.Reset()
-	w.put32(uint32(refID))
-	w.put32(uint32(int32(pos)))
-	// l_read_name | mapq<<8 | bin<<16 (bin left 0: indexing unused here)
-	w.put32(uint32(len(name)+1) | uint32(mapq)<<8)
-	w.put32(uint32(len(cigar)) | uint32(flags)<<16)
-	w.put32(uint32(len(seq)))
-	w.put32(uint32(nextRefID))
-	w.put32(uint32(int32(pnext)))
-	w.put32(uint32(tlen))
-	w.buf.Write(name)
-	w.buf.WriteByte(0)
-	for _, e := range cigar {
-		w.put32(uint32(e.Len)<<4 | uint32(e.Op.BAMCode()))
-	}
-	for i := 0; i < len(seq); i += 2 {
-		b := seqNibble(seq[i]) << 4
-		if i+1 < len(seq) {
-			b |= seqNibble(seq[i+1])
-		}
-		w.buf.WriteByte(b)
-	}
-	for i := 0; i < len(qual); i++ {
-		w.buf.WriteByte(qual[i] - '!')
-	}
-}
-
-// flushRecord emits the buffered record with its length prefix.
-func (w *Writer) flushRecord() error {
-	var n4 [4]byte
-	binary.LittleEndian.PutUint32(n4[:], uint32(w.buf.Len()))
-	if _, err := w.z.Write(n4[:]); err != nil {
-		return err
-	}
-	_, err := w.z.Write(w.buf.Bytes())
+	w.rec = appendRecord(w.rec[:0], refID, pos, nextRefID, pnext, v.MapQ, v.Flags, v.TemplateLen, name, cigar, seq, qual)
+	_, err := w.z.Write(w.rec)
 	return err
+}
+
+// appendRecord renders one length-prefixed alignment record onto dst: the
+// size is known up front, so dst grows once and every field, packed base
+// and quality is written by index.
+func appendRecord[S string | []byte](dst []byte, refID int32, pos int64, nextRefID int32, pnext int64, mapq uint8, flags uint16, tlen int32, name S, cigar align.Cigar, seq, qual S) []byte {
+	seqBytes := (len(seq) + 1) / 2
+	size := 32 + len(name) + 1 + 4*len(cigar) + seqBytes + len(qual)
+	start := len(dst)
+	dst = slices.Grow(dst, 4+size)[:start+4+size]
+	rec := dst[start:]
+	le := binary.LittleEndian
+	le.PutUint32(rec[0:], uint32(size))
+	le.PutUint32(rec[4:], uint32(refID))
+	le.PutUint32(rec[8:], uint32(int32(pos)))
+	// l_read_name | mapq<<8 | bin<<16 (bin left 0: indexing unused here)
+	le.PutUint32(rec[12:], uint32(len(name)+1)|uint32(mapq)<<8)
+	le.PutUint32(rec[16:], uint32(len(cigar))|uint32(flags)<<16)
+	le.PutUint32(rec[20:], uint32(len(seq)))
+	le.PutUint32(rec[24:], uint32(nextRefID))
+	le.PutUint32(rec[28:], uint32(int32(pnext)))
+	le.PutUint32(rec[32:], uint32(tlen))
+	off := 36 + copy(rec[36:], name)
+	rec[off] = 0
+	off++
+	for _, e := range cigar {
+		le.PutUint32(rec[off:], uint32(e.Len)<<4|uint32(e.Op.BAMCode()))
+		off += 4
+	}
+	packed := rec[off : off+seqBytes]
+	for i := range len(seq) / 2 {
+		packed[i] = seqNibbleTab[seq[2*i]]<<4 | seqNibbleTab[seq[2*i+1]]
+	}
+	if len(seq)%2 == 1 {
+		packed[seqBytes-1] = seqNibbleTab[seq[len(seq)-1]] << 4
+	}
+	q := rec[off+seqBytes:]
+	for i := range q {
+		q[i] = qual[i] - '!'
+	}
+	return dst
 }
 
 // Close flushes the BGZF stream and writes its EOF marker.
 func (w *Writer) Close() error { return w.z.Close() }
 
-// Export streams an AGD dataset out as BAM (§5.7's export path). Records
-// render straight from the streamed column bytes (sam.StreamRecords), so
-// the export performs no per-record allocation. It returns the number of
-// records written.
+// Export streams an AGD dataset out as BAM (§5.7's export path), with
+// inline BGZF compression. It returns the number of records written.
 func Export(ctx context.Context, ds *agd.Dataset, dst io.Writer) (uint64, error) {
-	if !ds.Manifest.HasColumn(agd.ColResults) {
-		return 0, fmt.Errorf("bam: dataset %q has no results column", ds.Manifest.Name)
-	}
-	refmap := sam.NewRefMap(ds.Manifest.RefSeqs)
-	sortOrder := "unsorted"
-	if ds.Manifest.SortedBy == "location" {
-		sortOrder = "coordinate"
-	}
-	w, err := NewWriter(dst, ds.Manifest.RefSeqs, sortOrder)
+	in, err := sam.ExportGroups(ds)
 	if err != nil {
 		return 0, err
 	}
-	var n uint64
-	err = sam.StreamRecords(ctx, ds, func(meta, seq, qual []byte, v *agd.ResultView) error {
-		n++
-		return w.WriteView(meta, seq, qual, v, refmap)
-	})
-	if err != nil {
-		return n, err
-	}
-	return n, w.Close()
+	defer in.Close()
+	return ExportStream(ctx, in, dst, nil)
 }
 
-// ExportStream renders a pipeline stream (with a results column) as BAM —
-// the stream-in sink form of Export.
-func ExportStream(ctx context.Context, in *agd.GroupStream, dst io.Writer) (uint64, error) {
+// ExportStream renders a pipeline stream (with a results column) as BAM.
+// Records render straight from the streamed column bytes, so the export
+// performs no per-record allocation; full BGZF blocks compress as tasks on
+// exec (nil compresses inline) while the next block renders. On error it
+// waits out the in-flight compression tasks before returning.
+func ExportStream(ctx context.Context, in *agd.GroupStream, dst io.Writer, exec *dataflow.Executor) (uint64, error) {
 	refmap := sam.NewRefMap(in.Meta.RefSeqs)
 	sortOrder := "unsorted"
 	if in.Meta.SortedBy == "location" {
 		sortOrder = "coordinate"
 	}
-	w, err := NewWriter(dst, in.Meta.RefSeqs, sortOrder)
+	w, err := NewWriterExec(ctx, dst, in.Meta.RefSeqs, sortOrder, exec)
 	if err != nil {
 		return 0, err
 	}
@@ -320,6 +258,7 @@ func ExportStream(ctx context.Context, in *agd.GroupStream, dst io.Writer) (uint
 		return w.WriteView(meta, seq, qual, v, refmap)
 	})
 	if err != nil {
+		w.z.Abort()
 		return n, err
 	}
 	return n, w.Close()

@@ -2,6 +2,7 @@ package bam
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -13,13 +14,16 @@ import (
 	"persona/internal/formats/sam"
 )
 
-// Reader parses a BAM file.
+// Reader parses a BAM file. Every length field is untrusted: buffers grow
+// with the bytes that actually arrive, never up front from a length, so a
+// corrupt 32-bit field cannot ask for gigabytes.
 type Reader struct {
-	r    *bufio.Reader
-	refs []agd.RefSeq
-	text string
-	rec  sam.Record
-	err  error
+	r     *bufio.Reader
+	refs  []agd.RefSeq
+	text  string
+	block bytes.Buffer // reused record buffer
+	rec   sam.Record
+	err   error
 }
 
 // NewReader parses the BAM header of the BGZF stream in r.
@@ -34,35 +38,28 @@ func NewReader(r io.Reader) (*Reader, error) {
 			return nil, fmt.Errorf("bam: bad magic %q", magic)
 		}
 	}
-	textLen, err := read32(br)
+	var buf bytes.Buffer
+	text, err := readField(&buf, br)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("bam: reading header text: %w", err)
 	}
-	text := make([]byte, textLen)
-	if _, err := io.ReadFull(br, text); err != nil {
-		return nil, err
-	}
+	rd := &Reader{r: br, text: string(text)}
 	nRef, err := read32(br)
 	if err != nil {
 		return nil, err
 	}
-	refs := make([]agd.RefSeq, 0, nRef)
 	for i := uint32(0); i < nRef; i++ {
-		nameLen, err := read32(br)
+		name, err := readField(&buf, br)
 		if err != nil {
-			return nil, err
-		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, name); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("bam: reading reference %d: %w", i, err)
 		}
 		refLen, err := read32(br)
 		if err != nil {
 			return nil, err
 		}
-		refs = append(refs, agd.RefSeq{Name: strings.TrimRight(string(name), "\x00"), Length: int64(refLen)})
+		rd.refs = append(rd.refs, agd.RefSeq{Name: strings.TrimRight(string(name), "\x00"), Length: int64(refLen)})
 	}
-	return &Reader{r: br, refs: refs, text: string(text)}, nil
+	return rd, nil
 }
 
 func read32(r io.Reader) (uint32, error) {
@@ -71,6 +68,25 @@ func read32(r io.Reader) (uint32, error) {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint32(b[:]), nil
+}
+
+// readField reads a 32-bit length, then that many bytes into buf (reset
+// first), copying in pieces so memory follows the bytes that arrive. It
+// returns io.EOF only when the stream ends cleanly before the length, and
+// io.ErrUnexpectedEOF when it ends anywhere inside the field.
+func readField(buf *bytes.Buffer, r io.Reader) ([]byte, error) {
+	n, err := read32(r)
+	if err != nil {
+		return nil, err
+	}
+	buf.Reset()
+	if _, err := io.CopyN(buf, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // Refs returns the reference dictionary.
@@ -84,16 +100,13 @@ func (r *Reader) Scan() bool {
 	if r.err != nil {
 		return false
 	}
-	blockSize, err := read32(r.r)
+	block, err := readField(&r.block, r.r)
 	if err != nil {
-		if err != io.EOF && err != io.ErrUnexpectedEOF {
+		if err == io.ErrUnexpectedEOF {
+			r.err = fmt.Errorf("bam: truncated record: %w", err)
+		} else if err != io.EOF {
 			r.err = err
 		}
-		return false
-	}
-	block := make([]byte, blockSize)
-	if _, err := io.ReadFull(r.r, block); err != nil {
-		r.err = fmt.Errorf("bam: truncated record: %w", err)
 		return false
 	}
 	rec, err := parseRecord(block, r.refs)

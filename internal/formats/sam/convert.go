@@ -51,7 +51,7 @@ var exportColumns = []string{agd.ColBases, agd.ColQual, agd.ColMetadata, agd.Col
 // the export performs no per-record allocation. It returns the number of
 // records written. Cancellation and deadline of ctx are checked per chunk.
 func Export(ctx context.Context, ds *agd.Dataset, dst io.Writer) (uint64, error) {
-	in, err := exportGroups(ds)
+	in, err := ExportGroups(ds)
 	if err != nil {
 		return 0, err
 	}
@@ -83,9 +83,9 @@ func ExportStream(ctx context.Context, in *agd.GroupStream, dst io.Writer) (uint
 	return n, w.Flush()
 }
 
-// exportGroups opens the pooled four-column group stream the SAM and BAM
-// dataset exporters walk.
-func exportGroups(ds *agd.Dataset) (*agd.GroupStream, error) {
+// ExportGroups opens the pooled four-column group stream the SAM and BAM
+// dataset exporters walk. The caller closes it.
+func ExportGroups(ds *agd.Dataset) (*agd.GroupStream, error) {
 	if !ds.Manifest.HasColumn(agd.ColResults) {
 		return nil, fmt.Errorf("sam: dataset %q has no results column", ds.Manifest.Name)
 	}
@@ -93,22 +93,11 @@ func exportGroups(ds *agd.Dataset) (*agd.GroupStream, error) {
 	return ds.Groups(agd.StreamOptions{Columns: exportColumns, Pool: chunkPool})
 }
 
-// StreamRecords streams every record of an aligned dataset in SAM
-// orientation through fn(meta, seq, qual, result view). The slices alias
-// reused buffers, valid only for the duration of the call — the shared
-// zero-allocation walk under the SAM and BAM exporters.
-func StreamRecords(ctx context.Context, ds *agd.Dataset, fn func(meta, seq, qual []byte, v *agd.ResultView) error) error {
-	in, err := exportGroups(ds)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	return StreamGroups(ctx, in, fn)
-}
-
-// StreamGroups is StreamRecords over a pipeline stream: the group-stream
-// walk shared by the SAM, BAM and dataset export paths. The stream must
-// carry the bases, qual, metadata and results columns.
+// StreamGroups streams every record of a pipeline stream in SAM orientation
+// through fn(meta, seq, qual, result view): the group-stream walk shared by
+// the SAM and BAM exporters. The slices alias reused buffers, valid only for
+// the duration of the call. The stream must carry the bases, qual, metadata
+// and results columns.
 func StreamGroups(ctx context.Context, in *agd.GroupStream, fn func(meta, seq, qual []byte, v *agd.ResultView) error) error {
 	basesCol := in.Meta.Col(agd.ColBases)
 	qualCol := in.Meta.Col(agd.ColQual)

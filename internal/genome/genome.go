@@ -34,19 +34,14 @@ func Code(b byte) uint8 { return codeTab[b] }
 
 // Letter converts a 3-bit code back to its base letter.
 func Letter(code uint8) byte {
-	switch code {
-	case 0:
-		return BaseA
-	case 1:
-		return BaseC
-	case 2:
-		return BaseG
-	case 3:
-		return BaseT
-	default:
-		return BaseN
+	if code < uint8(len(letterTab)) {
+		return letterTab[code]
 	}
+	return BaseN
 }
+
+// letterTab backs Letter for the 3-bit codes compacted bases carry.
+var letterTab = [8]byte{BaseA, BaseC, BaseG, BaseT, BaseN, BaseN, BaseN, BaseN}
 
 // Complement returns the Watson-Crick complement of a base letter; N maps to
 // N.

@@ -17,6 +17,32 @@ func TestCodeLetterRoundTrip(t *testing.T) {
 	}
 }
 
+// letterSwitch is the branchy decoder letterTab replaced, kept as the
+// table's reference.
+func letterSwitch(code uint8) byte {
+	switch code {
+	case 0:
+		return BaseA
+	case 1:
+		return BaseC
+	case 2:
+		return BaseG
+	case 3:
+		return BaseT
+	default:
+		return BaseN
+	}
+}
+
+func TestLetterTableMatchesSwitch(t *testing.T) {
+	// Every code: the 8 three-bit codes the table holds, and the rest.
+	for c := 0; c < 256; c++ {
+		if got, want := Letter(uint8(c)), letterSwitch(uint8(c)); got != want {
+			t.Errorf("Letter(%d) = %c, want %c", c, got, want)
+		}
+	}
+}
+
 func TestComplement(t *testing.T) {
 	pairs := map[byte]byte{'A': 'T', 'T': 'A', 'C': 'G', 'G': 'C', 'N': 'N'}
 	for b, want := range pairs {

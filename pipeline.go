@@ -557,7 +557,7 @@ func (p *Pipeline) runSink(ctx context.Context, stream *agd.GroupStream, report 
 	case stageExportSAM:
 		return sam.ExportStream(ctx, stream, sink.dst)
 	case stageExportBAM:
-		return bam.ExportStream(ctx, stream, sink.dst)
+		return bam.ExportStream(ctx, stream, sink.dst, sess.exec)
 	case stageExportFASTQ:
 		return fastq.ExportStream(ctx, stream, sink.dst)
 	case stageWrite:
